@@ -561,16 +561,11 @@ fn bench(quick: bool, out: &str, gate: bool) -> ! {
         to_value(x).expect("to_value")
     }
 
-    // The previously committed baseline, if one exists, for per-workload
-    // deltas. When writing somewhere other than the tracked baseline
-    // (`--out /tmp/x.json`), deltas still compare against the committed
-    // file. Schema 2 predates the scheduler split, so `event_queue/
-    // wheel_*` and `heap_*` fall back to the unsplit workload name;
-    // anything still unmatched is reported as new rather than an error.
-    let baseline: Option<Value> = std::fs::read_to_string(out)
-        .or_else(|_| std::fs::read_to_string("BENCH_engine.json"))
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
+    // The committed baseline, if one exists, for per-workload deltas.
+    // Schema 2 predates the scheduler split, so `event_queue/wheel_*` and
+    // `heap_*` fall back to the unsplit workload name; anything still
+    // unmatched is reported as new rather than an error.
+    let baseline = read_baseline(std::path::Path::new(COMMITTED_BASELINE));
     let baseline_field = |name: &str, field: &str| -> Option<f64> {
         let benches = baseline.as_ref()?.get("benches")?.as_array()?;
         let lookup = |n: &str| {
@@ -737,7 +732,7 @@ fn bench(quick: bool, out: &str, gate: bool) -> ! {
         if baseline.is_none() {
             eprintln!(
                 "error: --gate requested but no baseline could be read \
-                 ({out} or BENCH_engine.json)"
+                 ({COMMITTED_BASELINE})"
             );
             std::process::exit(1);
         }
@@ -774,6 +769,21 @@ fn bench(quick: bool, out: &str, gate: bool) -> ! {
 /// out scheduler noise on shared CI runners, tight enough to catch a real
 /// hot-path regression (which in this engine is rarely subtle).
 const GATE_REGRESSION_PCT: f64 = 15.0;
+
+/// The engine baseline `repro bench` compares against, relative to the
+/// working directory (the repository root in CI).
+const COMMITTED_BASELINE: &str = "BENCH_engine.json";
+
+/// Read the bench baseline from the committed file at `committed`. The
+/// run's `--out` target is never consulted: it may hold an earlier run's
+/// output, and a second `--gate` run would then be judged against the
+/// first instead of the committed numbers. `bench` reads this before it
+/// writes anything, so the default `--out` (the committed file itself)
+/// is also compared against its committed contents.
+fn read_baseline(committed: &std::path::Path) -> Option<serde_json::Value> {
+    let text = std::fs::read_to_string(committed).ok()?;
+    serde_json::from_str(&text).ok()
+}
 
 /// Per-workload gate allowance as a fraction of baseline events/sec: the
 /// base [`GATE_REGRESSION_PCT`] widened by twice the baseline's recorded
@@ -829,28 +839,36 @@ fn serve_cmd(args: &[String]) -> ! {
     std::process::exit(code);
 }
 
+/// Reader-thread body shared by the serve loops: forward each
+/// size-capped request line, stopping at end of stream, at the first read
+/// error (after forwarding it), or once the receiver is gone.
+fn feed_request_lines<R: std::io::BufRead>(
+    mut reader: R,
+    tx: std::sync::mpsc::Sender<std::io::Result<Result<String, pfcsim_simcore::error::Error>>>,
+) {
+    while let Some(item) = pfcsim_net::serve::read_request_line(&mut reader).transpose() {
+        let failed = item.is_err();
+        if tx.send(item).is_err() || failed {
+            return;
+        }
+    }
+}
+
 /// Stdin serving loop. A blocked `read_line` cannot observe SIGTERM, so
 /// a reader thread feeds lines through a channel the main loop polls
 /// with a timeout, checking the signal flag between requests.
 fn serve_stdin(serve: &mut pfcsim_net::serve::ServeSession) -> i32 {
     use pfcsim_net::serve::Control;
-    use std::io::{BufRead, Write};
+    use std::io::Write;
     use std::sync::mpsc;
 
-    let (tx, rx) = mpsc::channel::<std::io::Result<String>>();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            if tx.send(line).is_err() {
-                return;
-            }
-        }
-    });
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || feed_request_lines(std::io::stdin().lock(), tx));
     let stdout = std::io::stdout();
     loop {
         match rx.recv_timeout(std::time::Duration::from_millis(50)) {
             Ok(Ok(line)) => {
-                let (resp, ctl) = serve.handle_line(&line);
+                let (resp, ctl) = serve.handle_read(line);
                 if let Some(resp) = resp {
                     let mut out = stdout.lock();
                     if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
@@ -877,7 +895,7 @@ fn serve_stdin(serve: &mut pfcsim_net::serve::ServeSession) -> i32 {
 #[cfg(unix)]
 fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 {
     use pfcsim_net::serve::Control;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufReader, Write};
     use std::os::unix::net::UnixListener;
     use std::sync::mpsc;
 
@@ -916,19 +934,12 @@ fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 
                 continue;
             }
         };
-        let reader = BufReader::new(stream);
-        let (tx, rx) = mpsc::channel::<std::io::Result<String>>();
-        std::thread::spawn(move || {
-            for line in reader.lines() {
-                if tx.send(line).is_err() {
-                    return;
-                }
-            }
-        });
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || feed_request_lines(BufReader::new(stream), tx));
         loop {
             match rx.recv_timeout(std::time::Duration::from_millis(50)) {
                 Ok(Ok(line)) => {
-                    let (resp, ctl) = serve.handle_line(&line);
+                    let (resp, ctl) = serve.handle_read(line);
                     if let Some(resp) = resp {
                         if writeln!(writer, "{resp}")
                             .and_then(|()| writer.flush())
@@ -1009,7 +1020,7 @@ fn main() {
             .position(|a| a == "--out")
             .and_then(|i| args.get(i + 1))
             .map(String::as_str)
-            .unwrap_or("BENCH_engine.json");
+            .unwrap_or(COMMITTED_BASELINE);
         let gate = args.iter().any(|a| a == "--gate");
         bench(quick, out, gate);
     }
@@ -1085,5 +1096,41 @@ fn main() {
             .expect("write json");
             eprintln!("wrote {path}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mean_of(doc: &serde_json::Value) -> Option<f64> {
+        doc.get("benches")?.as_array()?[0]
+            .get("mean_seconds")?
+            .as_f64()
+    }
+
+    #[test]
+    fn baseline_is_the_committed_file_not_an_earlier_out() {
+        let dir = std::env::temp_dir().join(format!("repro_baseline_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let committed = dir.join(COMMITTED_BASELINE);
+        std::fs::write(
+            &committed,
+            r#"{"benches":[{"name":"w","mean_seconds":1.0}]}"#,
+        )
+        .unwrap();
+        // An earlier `repro bench --gate --out run.json` left its output.
+        std::fs::write(
+            dir.join("run.json"),
+            r#"{"benches":[{"name":"w","mean_seconds":9.0}]}"#,
+        )
+        .unwrap();
+        let baseline = read_baseline(&committed).expect("committed baseline reads");
+        assert_eq!(mean_of(&baseline), Some(1.0));
+
+        std::fs::write(&committed, "not json").unwrap();
+        assert!(read_baseline(&committed).is_none());
+        assert!(read_baseline(&dir.join("missing.json")).is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,8 +18,9 @@
 //! checksum *and* re-derives the config digest from the embedded
 //! `SimConfig`; a truncated, bit-flipped, or foreign file is a typed
 //! [`CheckpointError`], never a panic or a silently wrong resume.
-//! [`Checkpoint::save`] writes to a temp file and renames it into place,
-//! so a crash mid-write leaves the previous checkpoint intact.
+//! [`Checkpoint::save`] writes to a temp file, renames it into place and
+//! syncs the directory, so a crash mid-write leaves the previous
+//! checkpoint intact and a completed save survives a crash.
 //!
 //! ## Typical round trip
 //!
@@ -197,6 +198,15 @@ impl Checkpoint {
         }
     }
 
+    /// Digest of the captured state: FNV-1a-64 over the canonical value
+    /// encoding of the checkpoint, the same function as
+    /// [`config_digest`]. Equal checkpoints have equal digests, and no
+    /// frame is encoded to compute it. It is not a hash of the
+    /// [`to_bytes`](Checkpoint::to_bytes) frame.
+    pub fn state_digest(&self) -> u64 {
+        snap::value_digest(&serde::Serialize::to_value(self))
+    }
+
     /// Encode as a `pfcsim-checkpoint/1` frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         snap::encode_frame(self.config_digest(), &serde::Serialize::to_value(self))
@@ -221,9 +231,10 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
-    /// Write atomically: serialize to `<path>.tmp`, fsync, then rename
-    /// over `path`. A crash mid-write leaves any previous checkpoint at
-    /// `path` intact.
+    /// Write atomically: serialize to `<path>.tmp`, fsync, rename over
+    /// `path`, then fsync the parent directory so the rename itself is
+    /// durable. A crash at any point leaves either the previous
+    /// checkpoint or the new one at `path`.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
         use std::io::Write;
         let path = path.as_ref();
@@ -236,6 +247,7 @@ impl Checkpoint {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(())
     }
 
@@ -243,6 +255,20 @@ impl Checkpoint {
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
+    }
+}
+
+/// Flush `path`'s directory entry to disk. Platforms that cannot open a
+/// directory as a file (Windows) have nothing to sync and are skipped.
+fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => std::path::Path::new("."),
+    };
+    match std::fs::File::open(dir) {
+        Ok(d) => d.sync_all(),
+        Err(_) if cfg!(not(unix)) => Ok(()),
+        Err(e) => Err(e),
     }
 }
 

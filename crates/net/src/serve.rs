@@ -21,8 +21,8 @@
 //!    the resident run, resume the checkpoint into a throwaway probe,
 //!    apply the candidate pushes, and advance the probe a bounded window.
 //!    The probe's verdict is exact (packet-level); the resident is
-//!    untouched, and the session *proves* it by comparing checkpoint
-//!    digests before and after.
+//!    untouched, and the session *proves* it by comparing state digests
+//!    ([`Session::state_digest`]) before and after.
 //!
 //! ## The canonical-state invariant
 //!
@@ -53,7 +53,6 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use pfcsim_simcore::error::Error;
-use pfcsim_simcore::snap;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::graph::{NodeKind, Topology};
@@ -228,9 +227,10 @@ pub struct WhatIfDoc {
     pub probed_until: SimTime,
     /// Events the probe processed (probe cost, not resident cost).
     pub probe_events: u64,
-    /// FNV-1a digest of the resident checkpoint before the probe.
+    /// [`Session::state_digest`] of the resident before the probe.
     pub state_digest_before: u64,
-    /// Same digest taken after the probe returned.
+    /// Same digest taken after the probe returned. Both are computed
+    /// from the checkpoint's value tree; no frame is encoded.
     pub state_digest_after: u64,
     /// Proof the probe left the resident untouched (`before == after`).
     pub resident_unchanged: bool,
@@ -268,7 +268,7 @@ pub struct StatusDoc {
     pub finished: bool,
     /// The confirmed deadlock, if any (a confirmed deadlock is permanent).
     pub verdict: Option<VerdictDoc>,
-    /// Checkpoint digest of the resident state (`None` once finished —
+    /// [`Session::state_digest`] of the resident (`None` once finished —
     /// a finished run cannot be checkpointed).
     pub state_digest: Option<u64>,
 }
@@ -829,10 +829,14 @@ impl Session {
         static_cbd(&self.topo, &self.cur_tables, &self.flows, self.sim.now())
     }
 
-    /// FNV-1a digest of the resident checkpoint bytes — the session's
-    /// state fingerprint (used to prove rejected pushes touched nothing).
+    /// The session's state fingerprint, [`Checkpoint::state_digest`] of
+    /// the resident: FNV-1a over the checkpoint's canonical value
+    /// encoding, the same function as the run's `config_digest`. It is
+    /// not a hash of the checkpoint frame bytes, so its values differ
+    /// from builds that hashed the frame. Used to prove rejected pushes
+    /// touched nothing.
     pub fn state_digest(&mut self) -> Result<u64, Error> {
-        Ok(snap::fnv1a(&self.sim.checkpoint()?.to_bytes()))
+        Ok(self.sim.checkpoint()?.state_digest())
     }
 
     /// Capture the resident run as a checkpoint (crash-safe handoff).
@@ -857,7 +861,7 @@ impl Session {
         let now = self.sim.now();
         let bound = (now + window).min(self.horizon);
         let ckpt = self.sim.checkpoint()?;
-        let state_digest_before = snap::fnv1a(&ckpt.to_bytes());
+        let state_digest_before = ckpt.state_digest();
         let mut probe = NetSim::resume(ckpt)?;
         for p in pushes {
             probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
@@ -875,7 +879,7 @@ impl Session {
                 (v, e)
             }
         };
-        let state_digest_after = snap::fnv1a(&self.sim.checkpoint()?.to_bytes());
+        let state_digest_after = self.sim.checkpoint()?.state_digest();
         let mut tables = self.cur_tables.clone();
         for p in pushes {
             tables.set(p.node, p.dst, p.ports.clone());
@@ -1286,7 +1290,7 @@ impl ServeSession {
                         ckpt.save(&path)?;
                         Ok(obj(vec![
                             ("path", sval(&path)),
-                            ("state_digest", uval(snap::fnv1a(&ckpt.to_bytes()))),
+                            ("state_digest", uval(ckpt.state_digest())),
                         ]))
                     }
                     other => Err(Error::Protocol(format!("unknown op \"{other}\""))),
@@ -1295,16 +1299,28 @@ impl ServeSession {
         }
     }
 
+    /// Serve one line as [`read_request_line`] returned it: a line the
+    /// reader refused (over-long, not UTF-8) gets its `protocol` error
+    /// response, anything else goes to [`ServeSession::handle_line`].
+    pub fn handle_read(&mut self, line: Result<String, Error>) -> (Option<String>, Control) {
+        match line {
+            Ok(line) => self.handle_line(&line),
+            Err(e) => (Some(render_response(None, "?", Err(e))), Control::Continue),
+        }
+    }
+
     /// Drain a request stream: serve every line of `reader`, writing one
     /// response line per request to `out`, until the stream ends or a
-    /// `shutdown` request is served.
+    /// `shutdown` request is served. Lines are read through
+    /// [`read_request_line`], so no request can exceed
+    /// [`MAX_REQUEST_LINE_BYTES`] of memory.
     pub fn serve_lines<R: std::io::BufRead, W: std::io::Write>(
         &mut self,
-        reader: R,
+        mut reader: R,
         out: &mut W,
     ) -> std::io::Result<Control> {
-        for line in reader.lines() {
-            let (resp, ctl) = self.handle_line(&line?);
+        while let Some(line) = read_request_line(&mut reader)? {
+            let (resp, ctl) = self.handle_read(line);
             if let Some(resp) = resp {
                 writeln!(out, "{resp}")?;
                 out.flush()?;
@@ -1331,6 +1347,63 @@ impl ServeSession {
         }
         session.snapshot()?.save(&path)?;
         Ok(Some(path))
+    }
+}
+
+/// Longest request line the serve loops accept, in bytes, not counting
+/// the newline. A longer line is answered with one `protocol` error and
+/// skipped.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Read one request line, holding at most [`MAX_REQUEST_LINE_BYTES`] of
+/// it in memory. Returns `Ok(None)` at end of stream. A line over the cap
+/// is discarded up to its newline and comes back as an
+/// [`Error::Protocol`] naming the cap, as does a line that is not UTF-8;
+/// the stream stays usable after either.
+pub fn read_request_line<R: std::io::BufRead>(
+    reader: &mut R,
+) -> std::io::Result<Option<Result<String, Error>>> {
+    use std::io::{BufRead, Read};
+    let mut buf = Vec::new();
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE_BYTES {
+        skip_line(reader)?;
+        return Ok(Some(Err(Error::Protocol(format!(
+            "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+        )))));
+    }
+    Ok(Some(String::from_utf8(buf).map_err(|_| {
+        Error::Protocol("request line is not valid UTF-8".into())
+    })))
+}
+
+/// Consume input up to and including the next newline (or end of
+/// stream) without buffering it.
+fn skip_line<R: std::io::BufRead>(reader: &mut R) -> std::io::Result<()> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+            }
+        }
     }
 }
 

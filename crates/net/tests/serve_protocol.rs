@@ -189,6 +189,53 @@ fn malformed_requests_are_isolated() {
     assert_eq!(after["result"]["version"], before["result"]["version"]);
 }
 
+/// `serve_lines` reads through a fixed line cap: a line of exactly
+/// `MAX_REQUEST_LINE_BYTES` is served, one byte more earns a single
+/// `protocol` error naming the cap, as does a non-UTF-8 line, and the
+/// stream keeps serving the lines after them with the resident untouched.
+#[test]
+fn over_long_and_non_utf8_lines_are_refused_and_skipped() {
+    use pfcsim_net::serve::MAX_REQUEST_LINE_BYTES;
+
+    let status = r#"{"op":"query","kind":"status"}"#;
+    let padded = |len: usize| format!("{status}{}", " ".repeat(len - status.len()));
+    let mut input = Vec::new();
+    for line in [
+        open_square_request(),
+        status.to_string(),
+        padded(MAX_REQUEST_LINE_BYTES),
+        padded(MAX_REQUEST_LINE_BYTES + 1),
+    ] {
+        input.extend_from_slice(line.as_bytes());
+        input.push(b'\n');
+    }
+    input.extend_from_slice(b"\xff\xfe{}\n");
+    input.extend_from_slice(status.as_bytes());
+    input.push(b'\n');
+
+    let mut serve = ServeSession::new(ServeConfig::default());
+    let mut out = Vec::new();
+    let ctl = serve
+        .serve_lines(std::io::Cursor::new(input), &mut out)
+        .expect("in-memory streams do not fail");
+    assert_eq!(ctl, Control::Continue);
+    let resps: Vec<Value> = String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(parse)
+        .collect();
+    assert_eq!(resps.len(), 6, "one response per request line: {resps:?}");
+    for i in [0, 1, 2, 5] {
+        assert_eq!(resps[i]["ok"], true, "line {i}: {:?}", resps[i]);
+    }
+    let too_long = &resps[3]["error"];
+    assert_eq!(too_long["kind"], "protocol");
+    let msg = too_long["message"].as_str().expect("message");
+    assert!(msg.contains(&MAX_REQUEST_LINE_BYTES.to_string()), "{msg}");
+    assert_eq!(resps[4]["error"]["kind"], "protocol");
+    assert_eq!(digest_of(&resps[5]), digest_of(&resps[1]));
+}
+
 // ---------------------------------------------------------------------------
 // Resident probe ≡ batch oracle (both scheduler backends)
 // ---------------------------------------------------------------------------

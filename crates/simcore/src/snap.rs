@@ -58,12 +58,40 @@ impl std::error::Error for SnapError {}
 
 /// FNV-1a 64-bit hash (the workspace's standard content digest).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.put(bytes);
+    h.0
+}
+
+/// Where [`write_value`] sends the encoding: a byte buffer, or a running
+/// hash that digests the same bytes without storing them.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    h
+}
+
+/// Streaming FNV-1a-64: feeding it the chunks of a byte string yields
+/// [`fnv1a`] of the whole string.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
 }
 
 // Value-encoding tag bytes.
@@ -79,52 +107,60 @@ const TAG_OBJECT: u8 = 8;
 
 /// Append the deterministic binary encoding of `v` to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Number(Number::PosInt(n)) => {
-            out.push(TAG_POS_INT);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::Number(Number::NegInt(n)) => {
-            out.push(TAG_NEG_INT);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::Number(Number::Float(x)) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            out.push(TAG_STRING);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(TAG_OBJECT);
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-            for (k, item) in pairs {
-                out.extend_from_slice(&(k.len() as u64).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
+    write_value(v, out);
 }
 
 /// FNV-1a digest of `v`'s binary encoding — the workspace's canonical
-/// structural digest (used to fingerprint a run's configuration).
+/// structural digest (a run's configuration fingerprint and a session's
+/// state digest). Hashes the bytes [`encode_value`] would emit as they
+/// are produced, without buffering them.
 pub fn value_digest(v: &Value) -> u64 {
-    let mut bytes = Vec::new();
-    encode_value(v, &mut bytes);
-    fnv1a(&bytes)
+    let mut h = Fnv1a::new();
+    write_value(v, &mut h);
+    h.0
+}
+
+/// The one definition of the value encoding, shared by [`encode_value`]
+/// and [`value_digest`] so the two cannot drift apart.
+fn write_value<S: Sink>(v: &Value, out: &mut S) {
+    match v {
+        Value::Null => out.put(&[TAG_NULL]),
+        Value::Bool(false) => out.put(&[TAG_FALSE]),
+        Value::Bool(true) => out.put(&[TAG_TRUE]),
+        Value::Number(Number::PosInt(n)) => {
+            out.put(&[TAG_POS_INT]);
+            out.put(&n.to_le_bytes());
+        }
+        Value::Number(Number::NegInt(n)) => {
+            out.put(&[TAG_NEG_INT]);
+            out.put(&n.to_le_bytes());
+        }
+        Value::Number(Number::Float(x)) => {
+            out.put(&[TAG_FLOAT]);
+            out.put(&x.to_bits().to_le_bytes());
+        }
+        Value::String(s) => {
+            out.put(&[TAG_STRING]);
+            out.put(&(s.len() as u64).to_le_bytes());
+            out.put(s.as_bytes());
+        }
+        Value::Array(items) => {
+            out.put(&[TAG_ARRAY]);
+            out.put(&(items.len() as u64).to_le_bytes());
+            for item in items {
+                write_value(item, out);
+            }
+        }
+        Value::Object(pairs) => {
+            out.put(&[TAG_OBJECT]);
+            out.put(&(pairs.len() as u64).to_le_bytes());
+            for (k, item) in pairs {
+                out.put(&(k.len() as u64).to_le_bytes());
+                out.put(k.as_bytes());
+                write_value(item, out);
+            }
+        }
+    }
 }
 
 fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapError> {
@@ -365,6 +401,37 @@ mod tests {
             pairs[0].1 = Value::Number(Number::PosInt(1));
         }
         assert_ne!(a, value_digest(&other));
+    }
+
+    #[test]
+    fn value_digest_hashes_exactly_the_encoding() {
+        let nested = Value::Array(vec![
+            sample(),
+            Value::Array(vec![]),
+            Value::Object(vec![]),
+            Value::Array(vec![
+                Value::Number(Number::NegInt(i64::MIN)),
+                Value::Number(Number::Float(-0.0)),
+                Value::Number(Number::Float(f64::NAN)),
+                Value::String(String::new()),
+                Value::Object(vec![(
+                    "deep".into(),
+                    Value::Array(vec![Value::String("ünï".into()), Value::Null]),
+                )]),
+            ]),
+        ]);
+        for v in [
+            sample(),
+            nested,
+            Value::Null,
+            Value::Number(Number::NegInt(-1)),
+            Value::Number(Number::Float(1e-300)),
+            Value::String("x".into()),
+        ] {
+            let mut bytes = Vec::new();
+            encode_value(&v, &mut bytes);
+            assert_eq!(value_digest(&v), fnv1a(&bytes), "{v:?}");
+        }
     }
 
     #[test]

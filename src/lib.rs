@@ -90,10 +90,12 @@ pub use pfcsim_simcore::error::Error;
 /// A stable facade over [`net::serve`]: open a [`session::Session`]
 /// with [`session::SessionSpec`], mutate it with [`session::Update`],
 /// interrogate it with [`session::Query`] (status, static CBD, bounded
-/// what-if probes), and snapshot it for crash-safe handoff. The
+/// what-if probes), and snapshot it for crash-safe handoff as a
+/// [`session::Checkpoint`]. The
 /// [`session::ServeSession`] wrapper speaks the versioned JSONL wire
 /// protocol used by `repro serve`.
 pub mod session {
+    pub use pfcsim_net::checkpoint::Checkpoint;
     pub use pfcsim_net::serve::{
         static_cbd, Answer, Applied, CbdDoc, CbdHop, Control, Query, RoutePush, ServeConfig,
         ServeSession, Session, SessionSpec, StatusDoc, ThresholdDoc, Update, VerdictDoc, WhatIfDoc,
