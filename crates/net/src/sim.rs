@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use pfcsim_simcore::error::Error;
 use pfcsim_simcore::event::{Backend, EventQueue};
 use pfcsim_simcore::rng::SimRng;
-use pfcsim_simcore::series::RingSeries;
+use pfcsim_simcore::series::{RingSeries, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_simcore::wheel::{tick_shift_for_quantum, DEFAULT_TICK_SHIFT};
@@ -41,7 +41,7 @@ use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet, PfcFrame, PfcOp, PFC_FRAME_SIZE};
 use crate::recovery::{RecoveryConfig, RecoveryStrategy};
 use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey};
-use crate::switch::{InFlight, Ingress, QPkt, Switch, TxPause};
+use crate::switch::{FlowLedger, InFlight, Ingress, QPkt, Switch, TxPause};
 use crate::telemetry::{MetricId, TelemetryConfig, TelemetryReport, TelemetryState, TraceSink};
 use crate::timely::{TimelyConfig, TimelyState};
 use crate::trace::{DropReason, TraceEvent};
@@ -264,8 +264,8 @@ pub struct RunReport {
 }
 
 /// Reusable simulator storage: the event queue (slot arena plus wheel or
-/// heap index) and the flow/frame vectors that dominate per-construction
-/// allocation.
+/// heap index), the flow/frame vectors that dominate per-construction
+/// allocation, and the occupancy sampler's slot vectors.
 ///
 /// A sweep worker keeps one bundle, builds each point with
 /// [`SimBuilder::build_in`], and hands the storage back with
@@ -286,7 +286,7 @@ pub struct SimArenas {
     fmap: Vec<u32>,
     pinned: Vec<Vec<u16>>,
     traced: Vec<bool>,
-    sample_keys: Vec<IngressKey>,
+    sampler: Sampler,
     switch_pfc: Vec<Option<PfcConfig>>,
     host_in_flight: Vec<Option<Packet>>,
     link_up: Vec<bool>,
@@ -330,6 +330,110 @@ fn refill<T: Clone>(slot: &mut Vec<T>, n: usize, fill: T) -> Vec<T> {
     v.clear();
     v.resize(n, fill);
     v
+}
+
+/// The live occupancy series of a run, resolved to dense slots so a
+/// sample is a plain indexed push with no map lookup.
+///
+/// While a run is live, the series of the watched keys live here and
+/// `NetStats::occupancy` / `flow_occupancy` hold only the series of keys
+/// a mid-run [`NetSim::watch_only`] stopped watching. [`Sampler::load`]
+/// moves a key set's series in, [`Sampler::flush_into`] moves them back
+/// out: at `finalize`, on a checkpoint (into a copy of the stats), and
+/// around a mid-run `watch_only`.
+#[derive(Clone, Default)]
+struct Sampler {
+    /// Keys `on_sample` walks, sorted; set at `start()`, on resume and
+    /// by a mid-run `watch_only`.
+    keys: Vec<IngressKey>,
+    /// Occupancy series, parallel to `keys`. A key that was never
+    /// sampled keeps an empty series, which is not reported.
+    occ: Vec<TimeSeries>,
+    /// Per key, parallel to `keys`: the `(flow, slot in flow_occ)` of
+    /// each entry of the key's priority run in the ingress `FlowLedger`,
+    /// in ledger order. Re-resolved only when the run's flows change.
+    runs: Vec<Vec<(FlowId, u32)>>,
+    /// Per-flow occupancy series.
+    flow_occ: Vec<TimeSeries>,
+    /// Every per-flow series' slot in `flow_occ`. Consulted only when a
+    /// run changes: a new flow, or a reboot clearing the ledger.
+    flow_slot: BTreeMap<(IngressKey, FlowId), u32>,
+}
+
+impl Sampler {
+    /// Watch `keys` (sorted), continuing any series `stats` holds for
+    /// them.
+    fn load(&mut self, keys: Vec<IngressKey>, stats: &mut NetStats) {
+        self.clear();
+        self.keys = keys;
+        self.occ.extend(
+            self.keys
+                .iter()
+                .map(|k| stats.occupancy.remove(k).unwrap_or_default()),
+        );
+        self.runs.resize_with(self.keys.len(), Vec::new);
+        for ((key, flow), series) in std::mem::take(&mut stats.flow_occupancy) {
+            if self.keys.binary_search(&key).is_ok() {
+                self.flow_slot
+                    .insert((key, flow), self.flow_occ.len() as u32);
+                self.flow_occ.push(series);
+            } else {
+                stats.flow_occupancy.insert((key, flow), series);
+            }
+        }
+    }
+
+    /// Move every sampled series into `stats` and forget the key set.
+    fn flush_into(&mut self, stats: &mut NetStats) {
+        for (&key, series) in self.keys.iter().zip(self.occ.drain(..)) {
+            if !series.is_empty() {
+                stats.occupancy.insert(key, series);
+            }
+        }
+        for (&key, &slot) in &self.flow_slot {
+            let series = std::mem::take(&mut self.flow_occ[slot as usize]);
+            stats.flow_occupancy.insert(key, series);
+        }
+        self.clear();
+    }
+
+    /// Sample key `i`'s per-flow bytes from its ingress ledger: one push
+    /// per entry of the key's priority run, into the slot the mirror in
+    /// `runs[i]` names. At the first entry that disagrees with the
+    /// mirror, the rest of the run is re-resolved through `flow_slot`.
+    fn sample_flows(&mut self, i: usize, ledger: &FlowLedger, now: SimTime) {
+        let key = self.keys[i];
+        let prio = key.priority.0;
+        let run = &mut self.runs[i];
+        let mut n = 0;
+        for (&(_, flow), &bytes) in ledger
+            .iter()
+            .skip_while(|(&(p, _), _)| p < prio)
+            .take_while(|(&(p, _), _)| p == prio)
+        {
+            if run.get(n).is_none_or(|&(f, _)| f != flow) {
+                run.truncate(n);
+                let next = self.flow_occ.len() as u32;
+                let slot = *self.flow_slot.entry((key, flow)).or_insert(next);
+                if slot == next {
+                    self.flow_occ.push(TimeSeries::new());
+                }
+                run.push((flow, slot));
+            }
+            self.flow_occ[run[n].1 as usize].push(now, bytes.get());
+            n += 1;
+        }
+        run.truncate(n);
+    }
+
+    /// Drop every series and key, keeping capacity.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.occ.clear();
+        self.runs.iter_mut().for_each(Vec::clear);
+        self.flow_occ.clear();
+        self.flow_slot.clear();
+    }
 }
 
 /// Builds a [`NetSim`]: topology (required), then any of config,
@@ -520,8 +624,8 @@ pub struct NetSim {
     watch_keys: Option<Vec<IngressKey>>,
     /// Bitmask of priorities carrying traffic (flow specs + class remaps).
     used_prios: u8,
-    /// Keys `on_sample` walks, precomputed at `start()`.
-    sample_keys: Vec<IngressKey>,
+    /// Sampled keys and their live occupancy series.
+    sampler: Sampler,
     /// Dense channel arena + pause bitset for the incremental deadlock
     /// detector (see [`crate::deadlock`]).
     pub(crate) dl: DeadlockTracker,
@@ -685,7 +789,7 @@ impl NetSim {
             route_updates: Vec::new(),
             watch_keys: None,
             used_prios: 0,
-            sample_keys: take_cleared(&mut arenas.sample_keys),
+            sampler: std::mem::take(&mut arenas.sampler),
             dl,
             last_clean_scan: None,
             scans_run: 0,
@@ -746,8 +850,8 @@ impl NetSim {
         arenas.pinned = self.pinned;
         self.traced.clear();
         arenas.traced = self.traced;
-        self.sample_keys.clear();
-        arenas.sample_keys = self.sample_keys;
+        self.sampler.clear();
+        arenas.sampler = self.sampler;
         arenas.switch_pfc = take_cleared(&mut self.switch_pfc);
         arenas.host_in_flight = take_cleared(&mut self.host_in_flight);
         arenas.link_up = take_cleared(&mut self.link_up);
@@ -1085,13 +1189,16 @@ impl NetSim {
     }
 
     /// Restrict occupancy sampling to the given ingress queues
-    /// (default: every switch ingress × every priority in use).
+    /// (default: every switch ingress × every priority in use). Mid-run,
+    /// the series sampled so far are kept, and a key watched again
+    /// continues its series.
     pub fn watch_only(&mut self, keys: impl IntoIterator<Item = IngressKey>) {
         let mut v: Vec<IngressKey> = keys.into_iter().collect();
         v.sort_unstable();
         v.dedup();
         if self.started {
-            self.sample_keys = v.clone();
+            self.sampler.flush_into(&mut self.stats);
+            self.sampler.load(v.clone(), &mut self.stats);
         }
         self.watch_keys = Some(v);
     }
@@ -1319,7 +1426,7 @@ impl NetSim {
         // Freeze the sampled key set: rebuilding it per sample was a
         // measurable cost on dense fabrics. Ascending (node, port, prio)
         // order matches the old sorted-set iteration exactly.
-        self.sample_keys = match &self.watch_keys {
+        let keys = match &self.watch_keys {
             Some(v) => v.clone(),
             None => {
                 let mut v = Vec::new();
@@ -1339,6 +1446,7 @@ impl NetSim {
                 v
             }
         };
+        self.sampler.load(keys, &mut self.stats);
         if self.cfg.sample_interval.is_some() {
             self.sched(SimTime::ZERO, Ev::Sample);
         }
@@ -1654,6 +1762,7 @@ impl NetSim {
             None => Verdict::NoDeadlock,
         };
         let telemetry = self.telem.take().map(|t| t.finalize());
+        self.sampler.flush_into(&mut self.stats);
         RunReport {
             verdict,
             end_time: self.now().min(self.horizon),
@@ -1878,10 +1987,14 @@ impl NetSim {
             pause_headroom: self.pause_headroom,
             reboots: self.reboots.clone(),
             hybrid: self.hybrid.clone(),
-            stats: self.stats.clone(),
+            stats: {
+                let mut stats = self.stats.clone();
+                self.sampler.clone().flush_into(&mut stats);
+                stats
+            },
             watch_keys: self.watch_keys.clone(),
             used_prios: self.used_prios,
-            sample_keys: self.sample_keys.clone(),
+            sample_keys: self.sampler.keys.clone(),
             telemetry,
             trace_cap: self.trace_cap as u64,
         })
@@ -1955,6 +2068,11 @@ impl NetSim {
                 link_up.len(),
                 topo.link_count()
             )));
+        }
+        if !sample_keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CheckpointError::Decode(
+                "sampled keys are not strictly sorted".into(),
+            ));
         }
         let n_flows = flows.len();
         if rt.len() != n_flows || fstats.len() != n_flows || fstats_touched.len() != n_flows {
@@ -2044,7 +2162,7 @@ impl NetSim {
         sim.stats = stats;
         sim.watch_keys = watch_keys;
         sim.used_prios = used_prios;
-        sim.sample_keys = sample_keys;
+        sim.sampler.load(sample_keys, &mut sim.stats);
         sim.dcqcn_cfg = dcqcn_cfg;
         sim.timely_cfg = timely_cfg;
         sim.trace_cap = trace_cap as usize;
@@ -3301,39 +3419,22 @@ impl NetSim {
     fn on_sample(&mut self) {
         let now = self.now();
         let track_flows = self.cfg.track_per_flow_occupancy;
-        // Sample the precomputed key set (taken out so `self.stats` can be
-        // borrowed mutably in the loop, then put back — no per-sample
-        // allocation).
-        let keys = std::mem::take(&mut self.sample_keys);
-        for &key in &keys {
+        // `ing` borrows `self.switches`, the series live in
+        // `self.sampler` — disjoint fields, so no temporary needed.
+        let sampler = &mut self.sampler;
+        for i in 0..sampler.keys.len() {
+            let key = sampler.keys[i];
             let Some(sw) = self.switches[key.node.0 as usize].as_ref() else {
                 continue;
             };
             let Some(ing) = sw.ingress.get(key.port.0 as usize) else {
                 continue;
             };
-            let count = ing.count[key.priority.index()];
-            self.stats
-                .occupancy
-                .entry(key)
-                .or_default()
-                .push(now, count.get());
+            sampler.occ[i].push(now, ing.count[key.priority.index()].get());
             if track_flows {
-                // `ing` borrows `self.switches`, `flow_occupancy` lives in
-                // `self.stats` — disjoint fields, so no temporary needed.
-                for (&(p, f), &b) in ing.per_flow.iter() {
-                    if p != key.priority.0 {
-                        continue;
-                    }
-                    self.stats
-                        .flow_occupancy
-                        .entry((key, f))
-                        .or_default()
-                        .push(now, b.get());
-                }
+                sampler.sample_flows(i, &ing.per_flow, now);
             }
         }
-        self.sample_keys = keys;
         if let Some(iv) = self.cfg.sample_interval {
             let next = now + iv;
             if next <= self.horizon {
@@ -3406,7 +3507,7 @@ impl NetSim {
             }
         }
         if t.cfg.occupancy_probe {
-            for &key in &self.sample_keys {
+            for &key in &self.sampler.keys {
                 let Some(sw) = self.switches[key.node.0 as usize].as_ref() else {
                     continue;
                 };

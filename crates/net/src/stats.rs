@@ -120,11 +120,15 @@ pub struct NetStats {
     /// Pause history per (directed link, priority).
     #[serde(with = "map_as_pairs")]
     pub pause: BTreeMap<PauseKey, PauseLog>,
-    /// Occupancy time series for watched ingress queues.
+    /// Occupancy time series for watched ingress queues. Filled when
+    /// the run finishes or is checkpointed; during the run the series
+    /// live in the engine's dense sampler slots.
     #[serde(with = "map_as_pairs")]
     pub occupancy: BTreeMap<IngressKey, TimeSeries>,
     /// Per-flow occupancy inside watched ingress queues (enabled by
-    /// `SimConfig::track_per_flow_occupancy`).
+    /// `SimConfig::track_per_flow_occupancy`). Filled, like
+    /// [`NetStats::occupancy`], when the run finishes or is
+    /// checkpointed.
     #[serde(with = "map_as_pairs")]
     pub flow_occupancy: BTreeMap<(IngressKey, FlowId), TimeSeries>,
     /// Per-flow counters.

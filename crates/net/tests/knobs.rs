@@ -525,3 +525,97 @@ fn epoch_heuristic_skips_redundant_scans() {
         r.deadlock_scans_run
     );
 }
+
+/// FNV-1a over the canonical JSON of a run's stats.
+fn stats_digest(stats: &NetStats) -> u64 {
+    let json = serde_json::to_string(stats).expect("stats serialize");
+    json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The sampler's edge cases in one incast run: `watch_only` narrows the
+/// watched set mid-run at 100 µs and widens it again at 300 µs (a key
+/// watched again continues its series), a reboot of `s0` at 150 µs
+/// clears its ingress flow ledgers while flows keep arriving after the
+/// restore, and a flow that starts at 250 µs joins a ledger mid-run
+/// ahead of a flow already there (flow ids order the ledger).
+/// `checkpoint_at_watch` round-trips the run through checkpoint bytes
+/// right after each `watch_only` call.
+fn sampler_edge_run(checkpoint_at_watch: bool) -> (RunReport, [IngressKey; 3]) {
+    let (t, h0, h1, sink) = incast_topo();
+    let s0 = t.find("s0").expect("s0");
+    let s1 = t.find("s1").expect("s1");
+    let key = |node, peer| IngressKey {
+        node,
+        port: t.port_towards(node, peer).expect("adjacent").port,
+        priority: Priority::DEFAULT,
+    };
+    let keys = [key(s0, h0), key(s0, h1), key(s1, s0)];
+    let mut sim = SimBuilder::new(&t).config(SimConfig::default()).build();
+    sim.add_flow(FlowSpec::infinite(1, h0, sink));
+    sim.add_flow(FlowSpec::infinite(2, h1, sink));
+    sim.add_flow(FlowSpec::infinite(0, h0, sink).starting_at(SimTime::from_us(250)));
+    sim.set_fault_plan(FaultPlan::new().switch_reboot(
+        SimTime::from_us(150),
+        s0,
+        SimDuration::from_us(30),
+    ))
+    .expect("valid plan");
+    sim.schedule_flow_stops(SimTime::from_us(400));
+    let horizon = SimTime::from_us(600);
+    let watch = |mut sim: NetSim, at_us: u64, keys: &[IngressKey]| -> NetSim {
+        assert!(sim
+            .advance_until(SimTime::from_us(at_us), horizon)
+            .is_none());
+        sim.watch_only(keys.iter().copied());
+        if !checkpoint_at_watch {
+            return sim;
+        }
+        let bytes = sim.checkpoint().expect("checkpointable").to_bytes();
+        let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
+        NetSim::resume(ckpt).expect("restorable")
+    };
+    sim = watch(sim, 100, &[keys[0], keys[2]]);
+    sim = watch(sim, 300, &keys);
+    (sim.resume_run(), keys)
+}
+
+#[test]
+fn sampler_survives_mid_run_watch_only_and_reboot() {
+    let (report, [s0_h0, s0_h1, _]) = sampler_edge_run(false);
+    let stats = &report.stats;
+    assert!(stats
+        .faults
+        .iter()
+        .any(|r| matches!(r.action, FaultAction::SwitchRebooted { .. })));
+    // Unwatched from 100 to 300 µs, then the same series continues.
+    let gap = stats.occupancy[&s0_h1]
+        .samples()
+        .iter()
+        .filter(|(t, _)| (SimTime::from_us(101)..SimTime::from_us(300)).contains(t))
+        .count();
+    assert_eq!(gap, 0, "no samples while unwatched");
+    assert!(stats.occupancy[&s0_h1].samples().last().unwrap().0 > SimTime::from_us(300));
+    // Flow 1's series continues after the reboot cleared the ledger.
+    let f1 = &stats.flow_occupancy[&(s0_h0, FlowId(1))];
+    assert!(f1.samples().first().unwrap().0 < SimTime::from_us(150));
+    assert!(f1.samples().last().unwrap().0 > SimTime::from_us(180));
+    let f0 = &stats.flow_occupancy[&(s0_h0, FlowId(0))];
+    assert!(f0.samples().first().unwrap().0 >= SimTime::from_us(250));
+    assert_eq!(
+        stats_digest(stats),
+        SAMPLER_EDGE_DIGEST,
+        "sampled series moved: {:#018x}",
+        stats_digest(stats)
+    );
+    let (split, _) = sampler_edge_run(true);
+    assert_eq!(
+        serde_json::to_string(&split.stats).unwrap(),
+        serde_json::to_string(stats).unwrap(),
+        "checkpoint/resume at the watch_only calls changed the stats"
+    );
+}
+
+/// Recorded with the map-based sampler the slot sampler replaced.
+const SAMPLER_EDGE_DIGEST: u64 = 0xb4ea_5ed4_d9e2_437c;
