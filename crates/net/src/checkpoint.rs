@@ -13,9 +13,9 @@
 //! ## On-disk format
 //!
 //! `pfcsim-checkpoint/1` frames (see [`pfcsim_simcore::snap`]): a magic
-//! string, the config digest, a length-prefixed binary value tree, and an
-//! FNV-1a-64 checksum over everything before it. Every load validates the
-//! checksum *and* re-derives the config digest from the embedded
+//! string, the config digest, a length-prefixed binary value encoding,
+//! and an [`snap::fnv1a`] checksum over everything before it. Every load
+//! validates the checksum *and* re-derives the config digest from the embedded
 //! `SimConfig`; a truncated, bit-flipped, or foreign file is a typed
 //! [`CheckpointError`], never a panic or a silently wrong resume.
 //! [`Checkpoint::save`] writes to a temp file, renames it into place and
@@ -58,13 +58,13 @@ use crate::switch::{Switch, TxPause};
 use crate::telemetry::TelemetrySnapshot;
 use crate::timely::TimelyConfig;
 
-/// Digest of a full [`SimConfig`]: FNV-1a-64 over its canonical binary
-/// value encoding. Recorded in every
+/// Digest of a full [`SimConfig`]: [`snap::fnv1a`] over its canonical
+/// binary value encoding, hashed straight from the config. Recorded in every
 /// [`RunReport`](crate::sim::RunReport) and in every checkpoint frame
 /// header; a resume refuses a checkpoint whose digest does not match the
 /// live configuration.
 pub fn config_digest(cfg: &SimConfig) -> u64 {
-    snap::value_digest(&serde::Serialize::to_value(cfg))
+    snap::value_digest(cfg)
 }
 
 /// Why a checkpoint could not be produced, written, read, or restored.
@@ -198,18 +198,20 @@ impl Checkpoint {
         }
     }
 
-    /// Digest of the captured state: FNV-1a-64 over the canonical value
-    /// encoding of the checkpoint, the same function as
-    /// [`config_digest`]. Equal checkpoints have equal digests, and no
-    /// frame is encoded to compute it. It is not a hash of the
+    /// Digest of the captured state: [`snap::fnv1a`] over the canonical
+    /// value encoding of the checkpoint, the same function as
+    /// [`config_digest`]. Equal checkpoints have equal digests. It is
+    /// hashed straight from the checkpoint's fields: no frame is encoded
+    /// and no value tree is built. It is not a hash of the
     /// [`to_bytes`](Checkpoint::to_bytes) frame.
     pub fn state_digest(&self) -> u64 {
-        snap::value_digest(&serde::Serialize::to_value(self))
+        snap::value_digest(self)
     }
 
-    /// Encode as a `pfcsim-checkpoint/1` frame.
+    /// Encode as a `pfcsim-checkpoint/1` frame, straight from the
+    /// checkpoint's fields.
     pub fn to_bytes(&self) -> Vec<u8> {
-        snap::encode_frame(self.config_digest(), &serde::Serialize::to_value(self))
+        snap::encode_frame(self.config_digest(), self)
     }
 
     /// Decode a frame, validating magic, checksum, and the header/payload

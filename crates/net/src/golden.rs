@@ -11,6 +11,7 @@
 //! test file) keeps every consumer running the *same* scenario, so a
 //! digest divergence always means engine behaviour moved.
 
+use pfcsim_simcore::snap;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{square, LinkSpec};
@@ -33,16 +34,6 @@ pub const STOP_AT: SimTime = SimTime::from_ms(3);
 /// The golden run's drain horizon.
 pub const DRAIN_UNTIL: SimTime = SimTime::from_ms(6);
 
-/// FNV-1a over the canonical serialized report.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Canonical digest of everything observable in a report. JSON of
 /// `NetStats` is deterministic (ordered maps throughout), so the digest
 /// is sensitive to every counter, series sample, pause interval and
@@ -63,7 +54,7 @@ pub fn digest(r: &RunReport) -> u64 {
         r.events,
         serde_json::to_string(&r.stats).expect("stats serialize"),
     );
-    fnv1a(canon.as_bytes())
+    snap::fnv1a(canon.as_bytes())
 }
 
 /// Build the golden simulator — flows registered, fault plan installed,

@@ -89,19 +89,17 @@ pub struct FlowStats {
 /// which every self-describing format (JSON included) accepts.
 pub(crate) mod map_as_pairs {
     use serde::value::Value;
-    use serde::{de, Deserialize, Serialize};
+    use serde::{de, Deserialize, Encoder, Serialize};
     use std::collections::BTreeMap;
 
-    pub fn to_value<K, V>(map: &BTreeMap<K, V>) -> Value
+    /// The stub's one map representation, which is already pairs.
+    pub fn serialize<K, V, E>(map: &BTreeMap<K, V>, e: &mut E)
     where
         K: Serialize,
         V: Serialize,
+        E: Encoder,
     {
-        Value::Array(
-            map.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+        map.serialize(e)
     }
 
     pub fn from_value<K, V>(v: &Value) -> Result<BTreeMap<K, V>, de::Error>

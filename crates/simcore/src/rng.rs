@@ -97,8 +97,8 @@ impl SimRng {
 /// Serializes as the bare state word; restoring continues the stream
 /// exactly (see [`SimRng::state`]).
 impl serde::Serialize for SimRng {
-    fn to_value(&self) -> serde::value::Value {
-        serde::Serialize::to_value(&self.state)
+    fn serialize<E: serde::Encoder>(&self, e: &mut E) {
+        serde::Serialize::serialize(&self.state, e)
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! A checkpoint file is a `pfcsim-checkpoint/1` frame: a magic string, the
 //! configuration digest of the run that wrote it, a length-prefixed binary
-//! encoding of a [`Value`] tree (the serialized simulator state), and a
-//! trailing FNV-1a checksum over everything before it. The encoding is
+//! encoding of the serialized simulator state, and a trailing [`fnv1a`]
+//! checksum over everything before it. The encoding is written straight
+//! from any [`Serialize`] type as a [`serde::Encoder`]; a [`Value`] tree
+//! encodes to the same bytes as the typed value it came from. It is
 //! fully deterministic — integers are fixed-width little-endian, floats
 //! are written via [`f64::to_bits`] so restore is bit-exact — which is
 //! what lets a resumed run reproduce the exact digest of an uninterrupted
@@ -13,6 +15,7 @@
 //! or a malformed payload all surface as a typed [`SnapError`].
 
 use serde::value::{Number, Value};
+use serde::{Encoder, Serialize};
 
 /// Magic prefix of every checkpoint frame (also its format version).
 pub const MAGIC: &[u8; 19] = b"pfcsim-checkpoint/1";
@@ -56,14 +59,22 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a 64-bit hash (the workspace's standard content digest).
+/// FNV-1a-style 64-bit hash, the workspace's standard content digest.
+///
+/// It uses the published FNV-64 offset basis `0xcbf2_9ce4_8422_2325`
+/// but the prime `0x1000_0000_01b3`, not the published
+/// `0x100_0000_01b3`, so it is not the standard FNV-1a-64. Config
+/// digests, state digests, checkpoint frame checksums, the golden digest
+/// and every other pinned digest in the workspace depend on this prime:
+/// "fixing" it would invalidate every frame on disk and every recorded
+/// constant.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.put(bytes);
     h.0
 }
 
-/// Where [`write_value`] sends the encoding: a byte buffer, or a running
+/// Where a [`Writer`] sends the encoding: a byte buffer, or a running
 /// hash that digests the same bytes without storing them.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
@@ -75,7 +86,7 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// Streaming FNV-1a-64: feeding it the chunks of a byte string yields
+/// Streaming [`fnv1a`]: feeding it the chunks of a byte string yields
 /// [`fnv1a`] of the whole string.
 struct Fnv1a(u64);
 
@@ -105,62 +116,78 @@ const TAG_STRING: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
-/// Append the deterministic binary encoding of `v` to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    write_value(v, out);
+/// The one definition of the binary value encoding: an [`Encoder`] that
+/// writes each event to a [`Sink`]. A typed value and its [`Value`] tree
+/// (whose `serialize` replays the tree's events) encode to the same bytes.
+struct Writer<'a, S: Sink>(&'a mut S);
+
+impl<S: Sink> Writer<'_, S> {
+    fn len(&mut self, n: usize) {
+        self.0.put(&(n as u64).to_le_bytes());
+    }
+
+    /// Length-prefixed bytes (a string or an object key).
+    fn prefixed(&mut self, bytes: &[u8]) {
+        self.len(bytes.len());
+        self.0.put(bytes);
+    }
 }
 
-/// FNV-1a digest of `v`'s binary encoding — the workspace's canonical
+impl<S: Sink> Encoder for Writer<'_, S> {
+    fn null(&mut self) {
+        self.0.put(&[TAG_NULL]);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.0.put(&[if b { TAG_TRUE } else { TAG_FALSE }]);
+    }
+
+    fn number(&mut self, n: Number) {
+        let (tag, bits) = match n {
+            Number::PosInt(n) => (TAG_POS_INT, n),
+            Number::NegInt(n) => (TAG_NEG_INT, n as u64),
+            Number::Float(x) => (TAG_FLOAT, x.to_bits()),
+        };
+        self.0.put(&[tag]);
+        self.0.put(&bits.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.0.put(&[TAG_STRING]);
+        self.prefixed(s.as_bytes());
+    }
+
+    fn begin_array(&mut self, len: usize) {
+        self.0.put(&[TAG_ARRAY]);
+        self.len(len);
+    }
+
+    fn begin_object(&mut self, len: usize) {
+        self.0.put(&[TAG_OBJECT]);
+        self.len(len);
+    }
+
+    fn key(&mut self, k: &str) {
+        self.prefixed(k.as_bytes());
+    }
+
+    fn end(&mut self) {}
+}
+
+/// Append the deterministic binary encoding of `v` to `out`.
+pub fn encode_value<T: Serialize + ?Sized>(v: &T, out: &mut Vec<u8>) {
+    v.serialize(&mut Writer(out));
+}
+
+/// [`fnv1a`] of `v`'s binary encoding — the workspace's canonical
 /// structural digest (a run's configuration fingerprint and a session's
 /// state digest). Hashes the bytes [`encode_value`] would emit as they
-/// are produced, without buffering them.
-pub fn value_digest(v: &Value) -> u64 {
+/// are produced, straight from `v`: nothing is buffered and no [`Value`]
+/// tree is built.
+pub fn value_digest<T: Serialize + ?Sized>(v: &T) -> u64 {
     let mut h = Fnv1a::new();
-    write_value(v, &mut h);
+    v.serialize(&mut Writer(&mut h));
     h.0
-}
-
-/// The one definition of the value encoding, shared by [`encode_value`]
-/// and [`value_digest`] so the two cannot drift apart.
-fn write_value<S: Sink>(v: &Value, out: &mut S) {
-    match v {
-        Value::Null => out.put(&[TAG_NULL]),
-        Value::Bool(false) => out.put(&[TAG_FALSE]),
-        Value::Bool(true) => out.put(&[TAG_TRUE]),
-        Value::Number(Number::PosInt(n)) => {
-            out.put(&[TAG_POS_INT]);
-            out.put(&n.to_le_bytes());
-        }
-        Value::Number(Number::NegInt(n)) => {
-            out.put(&[TAG_NEG_INT]);
-            out.put(&n.to_le_bytes());
-        }
-        Value::Number(Number::Float(x)) => {
-            out.put(&[TAG_FLOAT]);
-            out.put(&x.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            out.put(&[TAG_STRING]);
-            out.put(&(s.len() as u64).to_le_bytes());
-            out.put(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.put(&[TAG_ARRAY]);
-            out.put(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                write_value(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.put(&[TAG_OBJECT]);
-            out.put(&(pairs.len() as u64).to_le_bytes());
-            for (k, item) in pairs {
-                out.put(&(k.len() as u64).to_le_bytes());
-                out.put(k.as_bytes());
-                write_value(item, out);
-            }
-        }
-    }
 }
 
 fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapError> {
@@ -230,16 +257,18 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, SnapError> {
 }
 
 /// Encode a complete checkpoint frame: magic, `config_digest`, the
-/// length-prefixed payload encoding, and a trailing FNV-1a checksum over
-/// everything before it.
-pub fn encode_frame(config_digest: u64, payload: &Value) -> Vec<u8> {
-    let mut body = Vec::new();
-    encode_value(payload, &mut body);
-    let mut out = Vec::with_capacity(MAGIC.len() + 24 + body.len());
+/// length-prefixed payload encoding, and a trailing [`fnv1a`] checksum
+/// over everything before it. The payload is encoded in place, straight
+/// from `payload`.
+pub fn encode_frame<T: Serialize + ?Sized>(config_digest: u64, payload: &T) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&config_digest.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_value(payload, &mut out);
+    let body_len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&body_len.to_le_bytes());
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -432,6 +461,97 @@ mod tests {
             encode_value(&v, &mut bytes);
             assert_eq!(value_digest(&v), fnv1a(&bytes), "{v:?}");
         }
+    }
+
+    /// Every shape the derive emits, plus std containers and a
+    /// `#[serde(with = ...)]` field.
+    mod typed {
+        use serde::{Deserialize, Encoder, Serialize};
+        use std::collections::{BTreeMap, VecDeque};
+
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        pub struct Unit;
+
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        pub struct Newtype(pub u16);
+
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        pub struct Pair(pub i8, pub Option<char>);
+
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        pub enum Shape {
+            Empty,
+            One(Newtype),
+            Two(u128, f32),
+            Named { tag: String, deep: Vec<Shape> },
+        }
+
+        mod via_with {
+            use super::*;
+
+            /// Serializes like the plain `Vec`, through the `with` path.
+            pub fn serialize<E: Encoder>(v: &[u32], e: &mut E) {
+                v.serialize(e)
+            }
+
+            pub fn from_value(v: &serde::value::Value) -> Result<Vec<u32>, serde::de::Error> {
+                Vec::from_value(v)
+            }
+        }
+
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        pub struct All {
+            pub unit: Unit,
+            pub pair: Pair,
+            pub shapes: Vec<Shape>,
+            pub map: BTreeMap<(u8, i64), Option<bool>>,
+            pub queue: VecDeque<f64>,
+            pub boxed: Box<Newtype>,
+            #[serde(with = "via_with")]
+            pub listed: Vec<u32>,
+        }
+
+        pub fn sample() -> All {
+            All {
+                unit: Unit,
+                pair: Pair(-3, Some('é')),
+                shapes: vec![
+                    Shape::Empty,
+                    Shape::One(Newtype(7)),
+                    Shape::Two(u128::MAX, -0.5),
+                    Shape::Two(5, f32::INFINITY),
+                    Shape::Named {
+                        tag: "n".into(),
+                        deep: vec![
+                            Shape::Empty,
+                            Shape::Named {
+                                tag: String::new(),
+                                deep: vec![],
+                            },
+                        ],
+                    },
+                ],
+                map: [((1, -1), None), ((2, i64::MIN), Some(true))].into(),
+                queue: [0.1, -0.0, f64::NAN].into(),
+                boxed: Box::new(Newtype(u16::MAX)),
+                listed: vec![3, 1, 2],
+            }
+        }
+    }
+
+    #[test]
+    fn typed_values_encode_exactly_like_their_trees() {
+        let typed = typed::sample();
+        let tree = serde::Serialize::to_value(&typed);
+        let (mut from_typed, mut from_tree) = (Vec::new(), Vec::new());
+        encode_value(&typed, &mut from_typed);
+        encode_value(&tree, &mut from_tree);
+        assert_eq!(from_typed, from_tree);
+        assert_eq!(value_digest(&typed), fnv1a(&from_tree));
+        assert_eq!(encode_frame(9, &typed), encode_frame(9, &tree));
+        let back: typed::All = serde::Deserialize::from_value(&tree).unwrap();
+        assert_eq!(back.shapes, typed.shapes);
+        assert_eq!(back.listed, typed.listed);
     }
 
     #[test]
